@@ -43,8 +43,10 @@
 
 pub mod l2;
 pub mod mem;
+pub mod paged;
 pub mod pciebuf;
 
 pub use l2::{L2BankArch, L2Geometry};
 pub use mem::{DramContents, DramOverlay, LineBackend, OverlayBackend};
+pub use paged::PagedMap;
 pub use pciebuf::PcieBuffers;

@@ -5,10 +5,12 @@ use nestsim_proto::addr::{LineAddr, PAddr, LINE_BYTES};
 /// Words (u64) per cache line.
 pub const WORDS_PER_LINE: usize = (LINE_BYTES / 8) as usize;
 
-// nestlint: allow(no-nondeterminism) -- audited: line maps are accessed
-// point-wise by line address; the only iterations are diff_lines (sorts
-// keys first) and apply_to (one independent write per key, order
-// commutes), so hash order never reaches results.
+use crate::paged::PagedMap;
+
+// nestlint: allow(no-nondeterminism) -- audited: overlay line maps are
+// accessed point-wise by line address; the only iterations are
+// diff_lines (sorts keys first) and apply_to (one independent write per
+// key, order commutes), so hash order never reaches results.
 type LineMap = std::collections::HashMap<u64, [u64; WORDS_PER_LINE]>;
 
 /// Sparse main-memory contents, line-granular.
@@ -16,9 +18,13 @@ type LineMap = std::collections::HashMap<u64, [u64; WORDS_PER_LINE]>;
 /// The paper models 4 GB of DRAM per controller; applications touch only
 /// megabytes, so contents are stored sparsely. Unbacked lines read as
 /// zero (the modeled DRAM is initialized to zero at "boot").
+///
+/// Lines live in copy-on-write pages ([`PagedMap`]): cloning — every
+/// snapshot-ladder rung and injection restore — copies page pointers,
+/// and a write copies only the page it lands in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramContents {
-    lines: LineMap,
+    lines: PagedMap<[u64; WORDS_PER_LINE]>,
 }
 
 impl DramContents {
@@ -29,17 +35,14 @@ impl DramContents {
 
     /// Reads a full cache line.
     pub fn read_line(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
-        self.lines
-            .get(&line.raw())
-            .copied()
-            .unwrap_or([0; WORDS_PER_LINE])
+        self.lines.get(line.raw()).unwrap_or([0; WORDS_PER_LINE])
     }
 
     /// Writes a full cache line.
     pub fn write_line(&mut self, line: LineAddr, data: [u64; WORDS_PER_LINE]) {
         if data == [0; WORDS_PER_LINE] {
             // Keep the map sparse: an all-zero line equals unbacked.
-            self.lines.remove(&line.raw());
+            self.lines.remove(line.raw());
         } else {
             self.lines.insert(line.raw(), data);
         }

@@ -16,7 +16,8 @@
 //! restore-from-rung bit-identical to replay-from-zero, so records,
 //! counts, and merged telemetry are byte-identical for any worker
 //! count and any snapshot interval — locked by the equivalence tests
-//! against [`run_campaign_replay`], the pre-ladder reference engine.
+//! against the same engine at `snapshot_interval = u64::MAX`, where the
+//! only rung is cycle 0 and every injection replays from the start.
 
 use nestsim_hlsim::ladder::DEFAULT_MAX_RUNGS;
 use nestsim_hlsim::workload::BenchProfile;
@@ -661,107 +662,26 @@ pub fn run_campaign_with(
         engine.count(names::LANES_SCALAR_FALLBACKS, lanes.scalar_fallbacks);
         indexed.extend(out);
     }
-    finish_campaign(profile, spec, telemetry, golden, indexed, &shards, engine)
-}
-
-/// The pre-ladder campaign engine, kept as the reference
-/// implementation: every worker replays one forward pass of the whole
-/// benchmark over an *interleaved* shard of the sorted samples, cloning
-/// at each entry point. Byte-identical to [`run_campaign_with`] in
-/// records, counts, and merged telemetry (the equivalence the test
-/// suite locks); roughly `workers ×` more forward simulation, which is
-/// why the ladder engine replaced it as the default.
-///
-/// # Panics
-///
-/// Panics if the component is PCIe and the benchmark has no input file,
-/// or if the spec fails [`CampaignSpec::validate`].
-pub fn run_campaign_replay(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-) -> CampaignResult {
-    check_campaign(profile, spec);
-    let (base, golden) = golden_reference(profile, spec);
-    let samples = draw_samples(profile, spec, &golden);
-
-    if samples.is_empty() {
-        return CampaignResult {
-            benchmark: profile.name,
-            component: spec.component,
-            counts: OutcomeCounts::new(),
-            records: Vec::new(),
-            golden,
-            telemetry: match telemetry {
-                Some(cfg) => CampaignTelemetry {
-                    merged: Recorder::active(cfg),
-                    worker_samples: Vec::new(),
-                    engine: Recorder::active(cfg),
-                },
-                None => CampaignTelemetry::disabled(),
-            },
-            adaptive: None,
-        };
-    }
-
-    // Order samples by co-simulation entry point; each worker replays
-    // one forward pass over its (ascending, interleaved) shard.
-    let order = entry_order(&samples);
-
-    let workers = worker_count(spec, order.len());
-    let shards: Vec<Vec<usize>> = (0..workers)
-        .map(|w| order.iter().copied().skip(w).step_by(workers).collect())
-        .collect();
-
-    let mut engine = match telemetry {
-        Some(cfg) => Recorder::active(cfg),
-        None => Recorder::null(),
+    let worker_samples = if telemetry.is_some() {
+        shards.iter().map(Vec::len).collect()
+    } else {
+        Vec::new()
     };
-    let per_worker: Vec<(IndexedRuns, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let base = &base;
-                let samples = &samples;
-                let golden = &golden;
-                scope.spawn(move || {
-                    let mut my_base = base.clone();
-                    let mut out = Vec::with_capacity(shard.len());
-                    let mut forward = 0u64;
-                    for &i in shard {
-                        let s = &samples[i];
-                        let entry = entry_cycle(s);
-                        forward += entry.saturating_sub(my_base.cycle());
-                        my_base.run_until(entry);
-                        let mut rec = match telemetry {
-                            Some(cfg) => Recorder::active(cfg),
-                            None => Recorder::null(),
-                        };
-                        let r = run_injection_with(&my_base, golden, s, &mut rec);
-                        out.push((i, r, rec));
-                    }
-                    (out, forward)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-
-    let mut indexed = Vec::with_capacity(samples.len());
-    for (out, forward) in per_worker {
-        engine.count(names::FORWARD_CYCLES, forward);
-        indexed.extend(out);
-    }
-    finish_campaign(profile, spec, telemetry, golden, indexed, &shards, engine)
+    assemble_result(
+        profile,
+        spec,
+        telemetry,
+        golden,
+        indexed,
+        worker_samples,
+        engine,
+    )
 }
 
 /// Panics on specs that cannot produce a meaningful campaign: PCIe
 /// cells without an input file, or a spec failing
 /// [`CampaignSpec::validate`]. Shared precondition of every campaign
-/// engine (in-process ladder, replay reference, and the
+/// engine (in-process ladder, adaptive rounds, and the
 /// `nestsim-cluster` coordinator/worker).
 pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
     assert!(
@@ -776,7 +696,7 @@ pub fn check_campaign(profile: &BenchProfile, spec: &CampaignSpec) {
 /// The default degree of parallelism when a spec says `workers = 0`:
 /// available hardware parallelism, falling back to 4 when the platform
 /// cannot report it. The single source of truth for every execution
-/// layer (both in-process engines, the repro grid, and the cluster
+/// layer (the in-process engines, the repro grid, and the cluster
 /// coordinator's shard sizing).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
@@ -820,33 +740,6 @@ pub fn contiguous_shards(order: &[usize], workers: usize) -> Vec<Vec<usize>> {
         start += len;
     }
     shards
-}
-
-/// Thread-engine epilogue: derives `worker_samples` from the shard
-/// layout and delegates to [`assemble_result`].
-fn finish_campaign(
-    profile: &'static BenchProfile,
-    spec: &CampaignSpec,
-    telemetry: Option<&TelemetryConfig>,
-    golden: GoldenRef,
-    indexed: IndexedRuns,
-    shards: &[Vec<usize>],
-    engine: Recorder,
-) -> CampaignResult {
-    let worker_samples = if telemetry.is_some() {
-        shards.iter().map(Vec::len).collect()
-    } else {
-        Vec::new()
-    };
-    assemble_result(
-        profile,
-        spec,
-        telemetry,
-        golden,
-        indexed,
-        worker_samples,
-        engine,
-    )
 }
 
 /// Shared epilogue of every engine (in-process and distributed): sorts
@@ -1110,6 +1003,15 @@ mod tests {
         assert_eq!(flat, order);
     }
 
+    /// The no-ladder oracle: the same engine with only the cycle-0 rung,
+    /// so every injection replays the benchmark from the start.
+    fn no_ladder(spec: &CampaignSpec) -> CampaignSpec {
+        CampaignSpec {
+            snapshot_interval: u64::MAX,
+            ..*spec
+        }
+    }
+
     #[test]
     fn lane_batched_engine_matches_replay_with_clustering() {
         let profile = by_name("radi").unwrap();
@@ -1119,7 +1021,14 @@ mod tests {
             ..CampaignSpec::quick(ComponentKind::L2c, 16)
         };
         let batched = run_campaign_with(profile, &spec, None);
-        let replay = run_campaign_replay(profile, &spec, None);
+        let replay = run_campaign_with(
+            profile,
+            &CampaignSpec {
+                lane_width: 1,
+                ..no_ladder(&spec)
+            },
+            None,
+        );
         assert_eq!(batched.records, replay.records);
         assert_eq!(batched.counts, replay.counts);
         assert_eq!(batched.golden, replay.golden);
@@ -1130,10 +1039,11 @@ mod tests {
         let profile = by_name("radi").unwrap();
         let spec = CampaignSpec {
             workers: 2,
+            snapshot_interval: 512,
             ..CampaignSpec::quick(ComponentKind::L2c, 8)
         };
         let ladder = run_campaign_with(profile, &spec, None);
-        let replay = run_campaign_replay(profile, &spec, None);
+        let replay = run_campaign_with(profile, &no_ladder(&spec), None);
         assert_eq!(ladder.records, replay.records);
         assert_eq!(ladder.counts, replay.counts);
         assert_eq!(ladder.golden, replay.golden);

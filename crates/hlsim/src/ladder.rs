@@ -152,6 +152,23 @@ mod tests {
     }
 
     #[test]
+    fn advancing_a_restored_rung_leaves_the_rung_untouched() {
+        // Rungs share copy-on-write pages with every system restored
+        // from them; running a restore to the end must copy, never
+        // write through.
+        let base = base();
+        let (ladder, golden) = SnapshotLadder::capture(&base, 512, DEFAULT_MAX_RUNGS);
+        let rung = ladder.rung_below(1_024);
+        assert_eq!(rung.cycle(), 1_024);
+        let cost = rung.snapshot_cost();
+        let mut restored = rung.clone();
+        assert_eq!(restored.run_to_end(), golden);
+        assert!(restored.dram() != rung.dram(), "the run wrote memory");
+        assert_eq!(rung.snapshot_cost(), cost);
+        assert_eq!(rung.clone().run_to_end(), golden);
+    }
+
+    #[test]
     fn thinning_bounds_live_rungs() {
         let base = base();
         let (ladder, _) = SnapshotLadder::capture(&base, 1, 8);

@@ -197,10 +197,13 @@ struct FuncDma {
     suspended: bool,
 }
 
-/// Deterministic size metrics of one system snapshot (what a
-/// [`System::clone`] actually captures). Campaign telemetry records
-/// these instead of wall-clock times so the numbers are reproducible
-/// across machines and worker counts.
+/// Deterministic size metrics of one system snapshot: the logical
+/// state a [`System::clone`] captures, not the bytes it copies. DRAM
+/// contents and last-store cycles sit in copy-on-write pages, so a
+/// clone copies page pointers and pays for a page only when one side
+/// first writes it. Campaign telemetry records these instead of
+/// wall-clock times so the numbers are reproducible across machines and
+/// worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotCost {
     /// Cycle the snapshot was taken at.
@@ -256,9 +259,9 @@ type ReqMap = std::collections::HashMap<u64, u8>;
 // order-insensitive sum of waiter counts, and per-key waiter order
 // lives in the Vec value, never in hasher order.
 type FillMap = std::collections::HashMap<(u8, u64), Vec<u8>>;
-// nestlint: allow(no-nondeterminism) -- audited: last-store cycles are
-// read point-wise by line address (get/insert/len only).
-type StoreMap = std::collections::HashMap<u64, u64>;
+/// Last-store cycle per line address, in copy-on-write pages so a
+/// snapshot shares the map instead of copying it.
+type StoreMap = nestsim_arch::PagedMap<u64>;
 // nestlint: allow(no-nondeterminism) -- audited: the taint set is only
 // probed with contains/is_empty and extended; never iterated.
 type LineSet = std::collections::HashSet<u64>;
@@ -432,7 +435,7 @@ impl System {
     /// line's contents date from the program image / DMA, i.e. cycle 0).
     /// Feeds the Fig. 9 required-rollback-distance analysis.
     pub fn last_store_cycle(&self, line: LineAddr) -> Option<u64> {
-        self.last_store.get(&line.raw()).copied()
+        self.last_store.get(line.raw())
     }
 
     // ── Interception (co-simulation coupling) ───────────────────────

@@ -264,6 +264,15 @@ mod tests {
     use super::*;
     use crate::figs::pick_benchmarks;
 
+    /// Serialises the tests that use the process-wide cell cache: one
+    /// of them asserts exact hit/miss deltas, which a concurrently
+    /// running test's cells would inflate.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn quick_opts(seed: u64) -> Opts {
         Opts {
             samples: 3,
@@ -279,6 +288,7 @@ mod tests {
     /// telemetry counters.
     #[test]
     fn fig4_after_fig3_recomputes_no_shared_cell() {
+        let _serial = serial();
         let opts = quick_opts(77);
         // fig3's grid: the default benchmark subset for one component.
         let fig3_cells: Vec<(ComponentKind, &'static BenchProfile)> =
@@ -320,6 +330,7 @@ mod tests {
     /// gets results byte-identical to in-process execution.
     #[test]
     fn service_cell_matches_in_process() {
+        let _serial = serial();
         let handle =
             nestsim_svc::serve(nestsim_svc::ServiceConfig::default()).expect("start service");
         let mut opts = quick_opts(81);
@@ -338,6 +349,7 @@ mod tests {
     /// lane computed them, and match a direct cell computation.
     #[test]
     fn grid_preserves_request_order() {
+        let _serial = serial();
         let opts = quick_opts(78);
         let benches = pick_benchmarks(&opts, ComponentKind::L2c);
         let cells: Vec<(ComponentKind, &'static BenchProfile)> = benches

@@ -222,7 +222,8 @@ const FIRST_CONN_TOKEN: u64 = 2;
 struct Conn {
     stream: TcpStream,
     inbuf: FrameBuf,
-    outbuf: Vec<u8>,
+    /// Encoded frames not yet accepted by the socket, oldest first.
+    outbuf: VecDeque<u8>,
     /// Close once `outbuf` drains (machine-initiated close).
     closing: bool,
     /// Whether the poller registration currently includes writable.
@@ -308,7 +309,7 @@ impl EventLoop {
                         Conn {
                             stream,
                             inbuf: FrameBuf::new(),
-                            outbuf: Vec::new(),
+                            outbuf: VecDeque::new(),
                             closing: false,
                             want_write: false,
                         },
@@ -484,7 +485,7 @@ impl EventLoop {
                 return;
             }
         };
-        conn.outbuf.extend_from_slice(&frame);
+        conn.outbuf.extend(&frame);
         self.flush(token);
     }
 
@@ -493,22 +494,9 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        while !conn.outbuf.is_empty() {
-            match conn.stream.write(&conn.outbuf) {
-                Ok(0) => {
-                    self.close_conn(token, true);
-                    return;
-                }
-                Ok(n) => {
-                    conn.outbuf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token, true);
-                    return;
-                }
-            }
+        if write_backlog(&mut conn.outbuf, &mut conn.stream).is_err() {
+            self.close_conn(token, true);
+            return;
         }
         let empty = conn.outbuf.is_empty();
         let closing = conn.closing;
@@ -525,5 +513,91 @@ impl EventLoop {
         if empty && closing {
             self.close_conn(token, false);
         }
+    }
+}
+
+/// Writes as much of `out` as `w` accepts, front first, dropping each
+/// accepted prefix from the deque (no shift of the remaining backlog).
+/// Stops when the backlog is empty or the writer would block; `Err` means
+/// the peer is gone.
+fn write_backlog(out: &mut VecDeque<u8>, w: &mut impl Write) -> Result<(), ()> {
+    while !out.is_empty() {
+        match w.write(out.as_slices().0) {
+            Ok(0) => return Err(()),
+            Ok(n) => {
+                out.drain(..n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return Err(()),
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket stand-in that accepts at most `chunk` bytes per write
+    /// and would block on every third call.
+    struct Trickle {
+        got: Vec<u8>,
+        chunk: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.chunk);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_keep_bytes_in_order() {
+        let mut out = VecDeque::new();
+        let mut sock = Trickle {
+            got: Vec::new(),
+            chunk: 7,
+            calls: 0,
+        };
+        let mut sent = Vec::new();
+        for frame in 0..200u32 {
+            // Frames of varying length, appended while a backlog is
+            // still pending, so the deque wraps around.
+            let bytes: Vec<u8> = (0..frame % 23 + 1).map(|i| (frame + i) as u8).collect();
+            sent.extend_from_slice(&bytes);
+            out.extend(&bytes);
+            write_backlog(&mut out, &mut sock).unwrap();
+        }
+        while !out.is_empty() {
+            write_backlog(&mut out, &mut sock).unwrap();
+        }
+        assert_eq!(sock.got, sent);
+    }
+
+    #[test]
+    fn closed_peer_is_an_error() {
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out: VecDeque<u8> = b"frame".iter().copied().collect();
+        assert!(write_backlog(&mut out, &mut Closed).is_err());
+        assert_eq!(out.len(), 5, "nothing was consumed");
     }
 }

@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: the full Fig. 2 injection flow on
 //! every component, platform invariants, and determinism.
 
-use nestsim::core::campaign::{
-    golden_reference, run_campaign, run_campaign_replay, run_campaign_with, CampaignSpec,
-};
+use nestsim::core::campaign::{golden_reference, run_campaign, run_campaign_with, CampaignSpec};
 use nestsim::core::cosim::{CosimDriver, L2cDriver};
 use nestsim::core::inject::{run_injection, InjectionSpec, MIN_WARMUP};
 use nestsim::core::Outcome;
@@ -12,6 +10,17 @@ use nestsim::hlsim::{RunResult, System, SystemConfig};
 use nestsim::models::ComponentKind;
 use nestsim::proto::addr::BankId;
 use nestsim::telemetry::{names, TelemetryConfig};
+
+/// The replay oracle: the campaign engine with only the cycle-0 rung
+/// and no lane batching, so every injection replays the benchmark from
+/// the start through the scalar path.
+fn replay(spec: CampaignSpec) -> CampaignSpec {
+    CampaignSpec {
+        snapshot_interval: u64::MAX,
+        lane_width: 1,
+        ..spec
+    }
+}
 
 fn quick_spec(component: ComponentKind, samples: u64) -> CampaignSpec {
     CampaignSpec {
@@ -212,13 +221,16 @@ fn ladder_engine_is_byte_identical_to_replay_for_any_interval_and_workers() {
     // domain: for every snapshot interval (including ∞ = base rung
     // only) and every worker count, records, counts, golden reference
     // and the merged telemetry export must be *byte*-identical to the
-    // pre-ladder replay engine — on two distinct (component, benchmark)
-    // cells.
+    // replay oracle (no intermediate rungs) — on two distinct
+    // (component, benchmark) cells.
     let cfg = TelemetryConfig::default();
     for (component, bench) in [(ComponentKind::L2c, "radi"), (ComponentKind::Mcu, "flui")] {
         let profile = by_name(bench).unwrap();
-        let reference =
-            run_campaign_replay(profile, &CampaignSpec::quick(component, 10), Some(&cfg));
+        let reference = run_campaign_with(
+            profile,
+            &replay(CampaignSpec::quick(component, 10)),
+            Some(&cfg),
+        );
         let ref_jsonl = reference.telemetry.to_jsonl();
         for interval in [512, 2_048, 8_192, u64::MAX] {
             for workers in [1usize, 4] {
@@ -258,7 +270,7 @@ fn lane_batched_engine_is_byte_identical_to_replay_for_any_width_and_workers() {
             lane_cluster,
             ..CampaignSpec::quick(component, samples)
         };
-        let reference = run_campaign_replay(profile, &base, Some(&cfg));
+        let reference = run_campaign_with(profile, &replay(base), Some(&cfg));
         let ref_jsonl = reference.telemetry.to_jsonl();
         for &lane_width in widths {
             for workers in [1usize, 4] {
@@ -291,30 +303,35 @@ fn lane_batched_engine_is_byte_identical_to_replay_for_any_width_and_workers() {
 
 #[test]
 fn ladder_engine_cuts_forward_simulation_at_least_2x_at_4_workers() {
-    // The point of the ladder: the replay engine forward-simulates
-    // roughly workers × benchmark-length, the ladder engine roughly one
-    // benchmark length total (rung capture rides the golden pass for
-    // free). The engines publish their forward-sim cycle counts, so the
-    // win is a deterministic assertion, not a wall-clock flake.
+    // The point of the ladder: without intermediate rungs, worker `w`
+    // of 4 replays from cycle 0 to the end of its contiguous shard, so
+    // the workers forward-simulate roughly 2.5 benchmark lengths; with
+    // rungs, each restore starts at most one rung spacing below its
+    // entry point (rung capture rides the golden pass for free). A
+    // quick cell runs 1/100 of the benchmark, so the rung spacing is
+    // scaled down from the default 2K, which would leave two rungs. The
+    // engine publishes its forward-sim cycle count, so the win is a
+    // deterministic assertion, not a wall-clock flake.
     let profile = by_name("radi").unwrap();
     let cfg = TelemetryConfig::default();
     let spec = CampaignSpec {
         workers: 4,
+        snapshot_interval: 512,
         ..CampaignSpec::quick(ComponentKind::L2c, 16)
     };
     let ladder = run_campaign_with(profile, &spec, Some(&cfg));
-    let replay = run_campaign_replay(profile, &spec, Some(&cfg));
+    let oracle = run_campaign_with(profile, &replay(spec), Some(&cfg));
     let ladder_fwd = ladder.telemetry.engine.counter(names::FORWARD_CYCLES);
-    let replay_fwd = replay.telemetry.engine.counter(names::FORWARD_CYCLES);
+    let replay_fwd = oracle.telemetry.engine.counter(names::FORWARD_CYCLES);
     assert!(
         ladder.telemetry.engine.counter(names::LADDER_RUNGS) >= 2,
         "the quick campaign must actually build a ladder"
     );
     assert!(
         replay_fwd >= 2 * ladder_fwd,
-        "expected >= 2x fewer forward-sim cycles: ladder {ladder_fwd}, replay {replay_fwd}"
+        "expected >= 2x fewer forward-sim cycles: ladder {ladder_fwd}, no ladder {replay_fwd}"
     );
-    assert_eq!(ladder.records, replay.records);
+    assert_eq!(ladder.records, oracle.records);
 }
 
 #[test]

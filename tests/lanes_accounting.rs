@@ -7,11 +7,10 @@
 //! scalar oracle. The contract locked here: the counter equals
 //! **exactly** the number of injections that took the scalar path
 //! while belonging to a multi-sample group, and every fallback stays
-//! byte-identical to the pre-ladder reference engine.
+//! byte-identical to the replay oracle: the scalar engine with no
+//! intermediate ladder rungs.
 
-use nestsim::core::campaign::{
-    run_campaign_replay, run_campaign_with, CampaignResult, CampaignSpec,
-};
+use nestsim::core::campaign::{run_campaign_with, CampaignResult, CampaignSpec};
 use nestsim::hlsim::workload::by_name;
 use nestsim::models::ComponentKind;
 use nestsim::telemetry::{names, TelemetryConfig};
@@ -29,7 +28,12 @@ fn spec(component: ComponentKind, samples: u64, lane_cluster: u64) -> CampaignSp
 
 fn assert_matches_replay(ctx: &str, spec: &CampaignSpec, got: &CampaignResult) {
     let profile = by_name("flui").unwrap();
-    let reference = run_campaign_replay(profile, spec, None);
+    let oracle = CampaignSpec {
+        snapshot_interval: u64::MAX,
+        lane_width: 1,
+        ..*spec
+    };
+    let reference = run_campaign_with(profile, &oracle, None);
     assert_eq!(got.records, reference.records, "{ctx}: records diverged");
     assert_eq!(got.counts, reference.counts, "{ctx}: counts diverged");
     assert_eq!(got.golden, reference.golden, "{ctx}: golden diverged");

@@ -7,7 +7,9 @@
 
 use nestsim_harness::{check_with, properties, Config, Source};
 
+use nestsim::arch::paged::PAGE_SLOTS;
 use nestsim::arch::{DramContents, L2BankArch, L2Geometry};
+use nestsim::proto::addr::LineAddr;
 use nestsim::proto::addr::{l2_bank_of, PAddr};
 use nestsim::rtl::{BitBuf, FlopClass, FlopSpaceBuilder};
 use nestsim::stats::{Cdf, Proportion, SeedSeq};
@@ -165,6 +167,123 @@ fn cache_is_value_transparent() {
             cache.flush_all(&mut dram);
             for (addr, v) in &flat {
                 assert_eq!(dram.read_word(PAddr::new(*addr)), *v);
+            }
+        },
+    );
+}
+
+// ── Copy-on-write DRAM snapshots ───────────────────────────────────
+
+/// A line in a small window of three pages (so neighbours share a page
+/// and writes straddle page boundaries), or occasionally a far line in
+/// a page of its own.
+fn cow_line(src: &mut Source) -> u64 {
+    let page = PAGE_SLOTS as u64;
+    match src.below(8) {
+        0 => (1 << 30) + src.below(page),
+        1 => page - 1 + src.below(2), // the last/first line of two pages
+        _ => src.below(3 * page),
+    }
+}
+
+/// A line's contents: all-zero a quarter of the time, so writes also
+/// unback lines.
+fn cow_data(src: &mut Source) -> [u64; 8] {
+    if src.below(4) == 0 {
+        [0; 8]
+    } else {
+        let mut d = [0; 8];
+        d[src.index(8)] = src.u64() | 1;
+        d
+    }
+}
+
+type LineModel = std::collections::BTreeMap<u64, [u64; 8]>;
+
+/// Asserts `dram` holds exactly `model`: every probed line reads back
+/// its model value (zero when absent), the backed-line count matches,
+/// and `==` agrees with a map rebuilt from the model alone.
+fn assert_matches_model(dram: &DramContents, model: &LineModel, ctx: &str) {
+    let page = PAGE_SLOTS as u64;
+    for line in (0..3 * page).chain((1 << 30)..(1 << 30) + page) {
+        let want = model.get(&line).copied().unwrap_or([0; 8]);
+        assert_eq!(
+            dram.read_line(LineAddr::new(line)),
+            want,
+            "{ctx}: line {line}"
+        );
+    }
+    assert_eq!(dram.backed_lines(), model.len(), "{ctx}: backed lines");
+    let mut rebuilt = DramContents::new();
+    for (&line, &data) in model {
+        rebuilt.write_line(LineAddr::new(line), data);
+    }
+    assert!(*dram == rebuilt, "{ctx}: == disagrees with the model");
+}
+
+/// Snapshot isolation of the copy-on-write DRAM pages: a clone reads
+/// exactly the state at its clone point however its parent and its own
+/// children are written afterwards, and `backed_lines()` and `==` agree
+/// with a plain `BTreeMap` model throughout.
+#[test]
+fn cow_dram_clones_are_isolated() {
+    check_with(
+        Config::with_cases(128),
+        "cow_dram_clones_are_isolated",
+        |src| {
+            // Live maps, each written after it is cloned, beside frozen
+            // clones that nothing writes again.
+            let mut live: Vec<(DramContents, LineModel)> =
+                vec![(DramContents::new(), LineModel::new())];
+            let mut frozen: Vec<(DramContents, LineModel)> = Vec::new();
+            let steps = src.range_usize(1, 80);
+            for _ in 0..steps {
+                let k = src.index(live.len());
+                match src.below(6) {
+                    0 => {
+                        let copy = live[k].clone();
+                        frozen.push(live[k].clone());
+                        live.push(copy);
+                    }
+                    1 => {
+                        let line = cow_line(src);
+                        let word = src.index(8);
+                        let value = if src.bool() { 0 } else { src.u64() };
+                        let (dram, model) = &mut live[k];
+                        dram.write_word(PAddr::new(line * 64 + word as u64 * 8), value);
+                        let mut data = model.get(&line).copied().unwrap_or([0; 8]);
+                        data[word] = value;
+                        if data == [0; 8] {
+                            model.remove(&line);
+                        } else {
+                            model.insert(line, data);
+                        }
+                    }
+                    _ => {
+                        let line = cow_line(src);
+                        let data = cow_data(src);
+                        let (dram, model) = &mut live[k];
+                        dram.write_line(LineAddr::new(line), data);
+                        if data == [0; 8] {
+                            model.remove(&line);
+                        } else {
+                            model.insert(line, data);
+                        }
+                    }
+                }
+            }
+            for (i, (dram, model)) in live.iter().enumerate() {
+                assert_matches_model(dram, model, &format!("live {i}"));
+            }
+            for (i, (dram, model)) in frozen.iter().enumerate() {
+                assert_matches_model(dram, model, &format!("clone {i}"));
+            }
+            // `==` between maps agrees with `==` between their models.
+            let all: Vec<_> = live.iter().chain(&frozen).collect();
+            for a in &all {
+                for b in &all {
+                    assert_eq!(a.0 == b.0, a.1 == b.1, "pairwise ==");
+                }
             }
         },
     );
